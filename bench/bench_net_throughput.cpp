@@ -10,15 +10,31 @@
 // session even on a loaded CI box.
 //
 // The second half benches the sharded ingest plane (DESIGN.md §14): the
-// same loopback peers spread across a 1-, 2- and 4-shard
+// same 8 loopback peers spread across a 1-, 2- and 4-shard
 // collect::ShardedPlatform fleet, reporting per-shard and aggregate
 // msgs/sec. --strict enforces the 1.5x aggregate scaling floor at 4
 // shards, but only on machines with >= 4 hardware threads (below that
 // the fleet runs are informational — the shards time-slice one core).
+// The fleet times the collector, not its client: every peer's UPDATEs
+// are encoded before the clock starts (100,000 in all, the single-session
+// total), one writer thread per peer pushes them with socket backpressure
+// as the only bound, and the clock stops once the fleet stored them all.
+// Sessions are placed by the dispatcher (ShardedListener kDispatcher), so
+// each shard gets exactly 8/S peers; SO_REUSEPORT placement (the default
+// kAuto) stays covered for correctness by tests/sharded_test.cpp, but its
+// throughput is not gated here, since its 4-tuple hash leaves the split
+// to luck.
+#include <poll.h>
+#include <sys/socket.h>
+
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +44,7 @@
 #include "daemon/daemon.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
+#include "wire/messages.hpp"
 
 namespace {
 
@@ -38,13 +55,61 @@ constexpr std::uint64_t kBatch = 500;  // one send_synthetic_burst per batch
 constexpr double kStrictMsgsPerSecFloor = 2000.0;
 
 constexpr std::size_t kFleetPeers = 8;
-constexpr std::uint64_t kFleetUpdatesPerPeer = 3000;
+// The fleet pushes the same total as the single-session run, so each
+// fleet run lasts long enough that the 4-shard time is not scheduler noise.
+constexpr std::uint64_t kFleetUpdatesPerPeer = kTotalUpdates / kFleetPeers;
+static_assert(kFleetUpdatesPerPeer % kBatch == 0);
 constexpr double kStrictFleetScalingFloor = 1.5;  // 4 shards vs 1 shard
+constexpr auto kFleetDeadline = std::chrono::seconds(60);
+constexpr auto kFleetPollInterval = std::chrono::microseconds(200);
 
 std::string json_number(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.3f", value);
   return buffer;
+}
+
+/// Fleet peer `peer`'s whole stream of UPDATE bytes, encoded before the
+/// clock starts: the prefixes, path and next hop that FakePeer's
+/// send_synthetic_burst produces, batch by batch.
+std::vector<std::uint8_t> encode_fleet_corpus(std::size_t peer) {
+  const auto as = static_cast<bgp::AsNumber>(65010 + peer);
+  std::vector<std::uint8_t> corpus;
+  for (std::uint64_t sent = 0; sent < kFleetUpdatesPerPeer; sent += kBatch) {
+    const std::uint32_t base =
+        (10u << 24) | (static_cast<std::uint32_t>(peer) << 16) |
+        (static_cast<std::uint32_t>(sent / kBatch) << 8);
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      wire::UpdateMessage message;
+      message.nlri.push_back(
+          net::Prefix(net::IpAddress::v4(base + (i << 8)), 24));
+      message.path = bgp::AsPath{as, as + 1, as + 2};
+      message.next_hop = 0x0A000002;
+      const auto bytes = wire::encode(message);
+      corpus.insert(corpus.end(), bytes.begin(), bytes.end());
+    }
+  }
+  return corpus;
+}
+
+/// Writes all of `bytes` to the non-blocking socket `fd`. A full send
+/// buffer parks the writer in poll() until the collector reads, so the
+/// kernel's socket buffers bound memory.
+bool write_all(int fd, std::span<const std::uint8_t> bytes) {
+  std::size_t offset = 0;
+  while (offset < bytes.size()) {
+    const ssize_t written = ::send(fd, bytes.data() + offset,
+                                   bytes.size() - offset, MSG_NOSIGNAL);
+    if (written > 0) {
+      offset += static_cast<std::size_t>(written);
+    } else if (written < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd writable{fd, POLLOUT, 0};
+      ::poll(&writable, 1, 100);
+    } else if (written < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// One fleet run: kFleetPeers loopback sessions against an S-shard
@@ -69,7 +134,10 @@ FleetResult run_fleet(std::size_t shard_count) {
   config.platform.registry = &registry;
   config.platform.component1_refresh = 0;  // ingest only: no merge refresh
   collect::ShardedPlatform platform(config);
-  if (!platform.listen("127.0.0.1", 0)) {
+  // Round-robin hand-off puts exactly kFleetPeers / S sessions on every
+  // shard; SO_REUSEPORT's 4-tuple hash would leave the split to luck.
+  if (!platform.listen("127.0.0.1", 0,
+                       net::ShardedListener::Mode::kDispatcher)) {
     std::fprintf(stderr, "error: fleet(%zu): cannot bind listeners\n",
                  shard_count);
     return result;
@@ -98,9 +166,13 @@ FleetResult run_fleet(std::size_t shard_count) {
     for (auto& client : clients) client->sync();
   };
 
+  // Established, and the handshake's last bytes are on the wire: from
+  // here on the writers own the sockets, so nothing may sit in a backlog.
   const auto all_established = [&] {
-    for (const auto& peer : peers) {
-      if (!peer->established()) return false;
+    for (std::size_t i = 0; i < kFleetPeers; ++i) {
+      if (!peers[i]->established() || clients[i]->backlog_bytes() != 0) {
+        return false;
+      }
     }
     return platform.peer_count() == kFleetPeers;
   };
@@ -111,28 +183,34 @@ FleetResult run_fleet(std::size_t shard_count) {
     return result;
   }
 
-  const std::uint64_t total = kFleetPeers * kFleetUpdatesPerPeer;
-  const bench::Stopwatch watch;
-  std::uint64_t sent_per_peer = 0;
-  while (sent_per_peer < kFleetUpdatesPerPeer) {
-    for (std::size_t i = 0; i < kFleetPeers; ++i) {
-      peers[i]->send_synthetic_burst(
-          kBatch, (10u << 24) | (static_cast<std::uint32_t>(i) << 16) |
-                      (static_cast<std::uint32_t>(sent_per_peer / kBatch)
-                       << 8));
-    }
-    sent_per_peer += kBatch;
-    // Same backpressure discipline as the single-session run: drain before
-    // the next burst so socket buffers bound memory, not the batch count.
-    int guard = 0;
-    while (platform.stored_updates() < kFleetPeers * sent_per_peer &&
-           ++guard < 200000) {
-      pump();
-    }
+  std::vector<std::vector<std::uint8_t>> corpora;
+  for (std::size_t i = 0; i < kFleetPeers; ++i) {
+    corpora.push_back(encode_fleet_corpus(i));
   }
-  int guard = 0;
-  while (platform.stored_updates() < total && ++guard < 200000) pump();
+
+  // Timed: one writer thread per peer, and the collector storing every
+  // update. The writers are not joined inside the region; the clock stops
+  // when the last update is stored.
+  const std::uint64_t total = kFleetPeers * kFleetUpdatesPerPeer;
+  std::atomic<bool> write_failed{false};
+  const bench::Stopwatch watch;
+  std::vector<std::thread> writers;
+  for (std::size_t i = 0; i < kFleetPeers; ++i) {
+    writers.emplace_back([&, i] {
+      if (!write_all(clients[i]->fd(), corpora[i])) write_failed = true;
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kFleetDeadline;
+  while (platform.stored_updates() < total && !write_failed &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(kFleetPollInterval);
+  }
   result.elapsed_s = watch.seconds();
+  if (platform.stored_updates() < total) {
+    // Unblock writers parked on a collector that stopped reading.
+    for (auto& client : clients) ::shutdown(client->fd(), SHUT_RDWR);
+  }
+  for (std::thread& writer : writers) writer.join();
 
   result.updates = platform.stored_updates();
   result.msgs_per_sec = static_cast<double>(result.updates) / result.elapsed_s;
@@ -237,7 +315,8 @@ int main(int argc, char** argv) {
   const bool scaling_enforceable = hw_threads >= 4;
   bench::note("fleet: " + std::to_string(kFleetPeers) + " peers x " +
               std::to_string(kFleetUpdatesPerPeer) +
-              " updates across 1/2/4 ingest shards");
+              " pre-encoded updates, one writer thread per peer, across "
+              "1/2/4 ingest shards");
   std::vector<FleetResult> fleet;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     FleetResult run = run_fleet(shards);

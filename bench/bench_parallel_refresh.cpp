@@ -1,9 +1,9 @@
 // Parallel analysis engine: serial vs worker-pool filter-refresh pipeline
 // (DESIGN.md §9). Runs the same GILL pipeline (Component #1 correlation
-// groups, event inference, pairwise VP scoring, filter generation) over one
-// simulated training window, first on the historical serial path and then
-// on a 4-thread ThreadPool, and reports the wall-clock speedup. Emits
-// BENCH_parallel.json.
+// groups, event inference, per-VP feature extraction, pairwise VP scoring,
+// filter generation) over one simulated training window, first on the
+// historical serial path and then on a 4-thread ThreadPool, and reports the
+// wall-clock speedup. Emits BENCH_parallel.json.
 //
 // Under --strict the 1.8x floor at 4 threads is enforced only when the
 // machine actually has >= 4 hardware threads; on smaller boxes the run is
@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
                 "off the event loop");
 
   // World: 400 ASes, one VP per fifth AS, a 6-hour training window — the
-  // same scale Table 2 trains GILL on, so the timed region is dominated by
-  // the per-prefix Component #1 pass and the pairwise scoring stage.
+  // same scale Table 2 trains GILL on. The timed region is dominated by
+  // Table 6 feature extraction (about 88% of a serial refresh), then the
+  // per-prefix Component #1 pass and event inference.
   const auto topology =
       topo::generate_artificial({.as_count = 400, .seed = 91});
   sim::InternetConfig config;

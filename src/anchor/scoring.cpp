@@ -17,68 +17,26 @@ EventFeatureExtractor::EventFeatureExtractor(std::vector<VpId> vps)
 
 std::vector<EventFeatureMatrix> EventFeatureExtractor::extract(
     const UpdateStream& rib_dump, const UpdateStream& updates,
-    const std::vector<AnchorEvent>& events) {
+    const std::vector<AnchorEvent>& events, par::ThreadPool* pool) {
   const std::size_t v = vps_.size();
   std::unordered_map<VpId, std::size_t> vp_index;
   for (std::size_t i = 0; i < v; ++i) vp_index[vps_[i]] = i;
 
-  // Current graphs and routes per VP.
-  std::vector<feat::VpGraph> graphs(v);
-  std::vector<bgp::Rib> ribs(v);
-  auto apply = [&](const bgp::Update& update) {
-    const auto it = vp_index.find(update.vp);
-    if (it == vp_index.end()) return;
-    const std::size_t index = it->second;
-    const bgp::Route* old_route = ribs[index].find(update.prefix);
-    const bgp::AsPath old_path = old_route ? old_route->path : bgp::AsPath{};
-    const bgp::AsPath new_path =
-        update.withdrawal ? bgp::AsPath{} : update.path;
-    graphs[index].replace_route(old_path, new_path);
-    ribs[index].apply(update);
-  };
-  for (const auto& update : rib_dump) apply(update);
-
-  // Per-event start snapshots (node features of both ASes + pair features).
-  struct Snapshot {
-    std::vector<feat::NodeFeatures> node1, node2;
-    std::vector<feat::PairFeatures> pair;
-  };
-  std::vector<Snapshot> snapshots(events.size());
-  std::vector<EventFeatureMatrix> matrices(events.size());
-
-  auto snapshot_event = [&](std::size_t event_index, bool at_start) {
-    const AnchorEvent& event = events[event_index];
-    Snapshot& snap = snapshots[event_index];
-    if (at_start) {
-      snap.node1.resize(v);
-      snap.node2.resize(v);
-      snap.pair.resize(v);
-    } else {
-      matrices[event_index].rows.resize(v);
+  // A VP's graph evolves only from its own routes (§18), so each stream is
+  // bucketed by VP position (stream order kept) and every row replays alone.
+  const auto bucket = [&](const UpdateStream& stream) {
+    std::vector<std::vector<std::size_t>> by_vp(v);
+    const auto& list = stream.updates();
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const auto it = vp_index.find(list[k].vp);
+      if (it != vp_index.end()) by_vp[it->second].push_back(k);
     }
-    for (std::size_t i = 0; i < v; ++i) {
-      const feat::FeatureComputer computer(graphs[i]);
-      const auto n1 = computer.node_features(event.as1);
-      const auto n2 = computer.node_features(event.as2);
-      const auto p = computer.pair_features(event.as1, event.as2);
-      if (at_start) {
-        snap.node1[i] = n1;
-        snap.node2[i] = n2;
-        snap.pair[i] = p;
-      } else {
-        feat::EventVector& row = matrices[event_index].rows[i];
-        for (std::size_t f = 0; f < feat::kNodeFeatureCount; ++f) {
-          row[2 * f] = snap.node1[i][f] - n1[f];
-          row[2 * f + 1] = snap.node2[i][f] - n2[f];
-        }
-        for (std::size_t f = 0; f < feat::kPairFeatureCount; ++f) {
-          row[2 * feat::kNodeFeatureCount + f] = snap.pair[i][f] - p[f];
-        }
-      }
-    }
+    return by_vp;
   };
+  const auto dump_by_vp = bucket(rib_dump);
+  const auto stream_by_vp = bucket(updates);
 
-  // Merge-walk: boundaries (event starts/ends) interleaved with updates.
+  // Event starts and ends, in snapshot order.
   struct Boundary {
     bgp::Timestamp time;
     std::size_t event_index;
@@ -96,19 +54,77 @@ std::vector<EventFeatureMatrix> EventFeatureExtractor::extract(
               return a.is_start > b.is_start;  // starts before ends
             });
 
-  std::size_t update_cursor = 0;
+  // Boundary b sees the stream prefix [0, applied[b]): every update strictly
+  // before it (start snapshots see the pre-event graph; end snapshots see
+  // everything up to the end), walking the stream in order.
+  const auto& dump = rib_dump.updates();
   const auto& stream = updates.updates();
-  for (const Boundary& boundary : boundaries) {
-    // Apply every update strictly before the boundary (start snapshots see
-    // the pre-event graph; end snapshots see everything up to the end).
-    const bgp::Timestamp limit =
-        boundary.is_start ? boundary.time : boundary.time + 1;
-    while (update_cursor < stream.size() &&
-           stream[update_cursor].time < limit) {
-      apply(stream[update_cursor]);
-      ++update_cursor;
+  std::vector<std::size_t> applied(boundaries.size());
+  std::size_t cursor = 0;
+  for (std::size_t b = 0; b < boundaries.size(); ++b) {
+    const bgp::Timestamp limit = boundaries[b].is_start
+                                     ? boundaries[b].time
+                                     : boundaries[b].time + 1;
+    while (cursor < stream.size() && stream[cursor].time < limit) ++cursor;
+    applied[b] = cursor;
+  }
+
+  std::vector<EventFeatureMatrix> matrices(events.size());
+  for (auto& matrix : matrices) matrix.rows.resize(v);
+
+  // Rows [begin, end): each VP's graph is replayed from its dump and its
+  // own updates, snapshotting both event ASes at every boundary. Each row
+  // is written by exactly one call, so sharding by VP is byte-identical.
+  struct StartSnapshot {
+    feat::NodeFeatures node1, node2;
+    feat::PairFeatures pair;
+  };
+  const auto extract_rows = [&](std::size_t begin, std::size_t end) {
+    std::vector<StartSnapshot> starts(events.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      feat::VpGraph graph;
+      bgp::Rib rib;
+      const auto apply = [&](const bgp::Update& update) {
+        const bgp::Route* old_route = rib.find(update.prefix);
+        const bgp::AsPath old_path =
+            old_route ? old_route->path : bgp::AsPath{};
+        const bgp::AsPath new_path =
+            update.withdrawal ? bgp::AsPath{} : update.path;
+        graph.replace_route(old_path, new_path);
+        rib.apply(update);
+      };
+      for (const std::size_t k : dump_by_vp[i]) apply(dump[k]);
+      const auto& mine = stream_by_vp[i];
+      std::size_t next = 0;
+      for (std::size_t b = 0; b < boundaries.size(); ++b) {
+        while (next < mine.size() && mine[next] < applied[b]) {
+          apply(stream[mine[next++]]);
+        }
+        const AnchorEvent& event = events[boundaries[b].event_index];
+        const feat::FeatureComputer computer(graph);
+        const auto n1 = computer.node_features(event.as1);
+        const auto n2 = computer.node_features(event.as2);
+        const auto p = computer.pair_features(event.as1, event.as2);
+        StartSnapshot& snap = starts[boundaries[b].event_index];
+        if (boundaries[b].is_start) {
+          snap = {n1, n2, p};
+          continue;
+        }
+        feat::EventVector& row = matrices[boundaries[b].event_index].rows[i];
+        for (std::size_t f = 0; f < feat::kNodeFeatureCount; ++f) {
+          row[2 * f] = snap.node1[f] - n1[f];
+          row[2 * f + 1] = snap.node2[f] - n2[f];
+        }
+        for (std::size_t f = 0; f < feat::kPairFeatureCount; ++f) {
+          row[2 * feat::kNodeFeatureCount + f] = snap.pair[f] - p[f];
+        }
+      }
     }
-    snapshot_event(boundary.event_index, boundary.is_start);
+  };
+  if (pool != nullptr && !par::serial_forced()) {
+    pool->parallel_for(v, extract_rows);
+  } else {
+    extract_rows(0, v);
   }
   return matrices;
 }

@@ -34,9 +34,16 @@ class EventFeatureExtractor {
 
   /// `rib_dump` seeds the initial graphs; `updates` is the collection
   /// stream covering every event window; `events` must be start-sorted.
+  ///
+  /// Each VP's graph changes only from that VP's own updates, so row i of
+  /// every matrix is replayed independently; with a pool the VPs are
+  /// sharded across the workers. Every row is written by exactly one shard
+  /// with the serial arithmetic, so the matrices are byte-identical at any
+  /// thread count (GILL_ANALYSIS_SERIAL forces the serial path outright).
   std::vector<EventFeatureMatrix> extract(
       const UpdateStream& rib_dump, const UpdateStream& updates,
-      const std::vector<AnchorEvent>& events);
+      const std::vector<AnchorEvent>& events,
+      par::ThreadPool* pool = nullptr);
 
   const std::vector<VpId>& vps() const noexcept { return vps_; }
 

@@ -61,8 +61,9 @@ struct PipelineRuntime {
 
 /// Runs the pipeline on a training window. `rib` is the RIB dump at the
 /// start of the window; `categories` stratifies event selection (Table 5).
-/// The parallel stages (per-prefix Component #1, pairwise VP scoring) are
-/// byte-deterministic: any `runtime` produces the serial path's result.
+/// The parallel stages (per-prefix Component #1, per-VP feature extraction,
+/// pairwise VP scoring) are byte-deterministic: any `runtime` produces the
+/// serial path's result.
 GillPipelineResult run_gill_pipeline(
     const UpdateStream& rib, const UpdateStream& training,
     const std::vector<topo::AsCategory>& categories, const GillConfig& config,

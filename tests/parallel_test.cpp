@@ -7,11 +7,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "anchor/event_inference.hpp"
 #include "anchor/scoring.hpp"
 #include "collector/platform.hpp"
 #include "parallel/thread_pool.hpp"
@@ -192,6 +196,59 @@ TEST(Determinism, SerialEnvDisablesThePoolPath) {
   EXPECT_EQ(shards_after_forced, 0u) << "the hatch bypasses the pool";
   EXPECT_EQ(forced.redundant, serial.redundant);
   EXPECT_EQ(forced.mean_rp, serial.mean_rp);
+}
+
+TEST(Determinism, FeatureExtractionIsBitIdenticalAtEveryThreadCount) {
+  // The pipeline test compares only anchors and filters, which a changed
+  // feature matrix can leave intact; this pins every matrix row.
+  const PipelineWorld& world = pipeline_world();
+  const sample::GillConfig config;
+  std::set<bgp::VpId> vp_set;
+  for (const auto& update : world.training) vp_set.insert(update.vp);
+  for (const auto& entry : world.ribs) vp_set.insert(entry.vp);
+  const std::vector<bgp::VpId> vps(vp_set.begin(), vp_set.end());
+  const auto events = anchor::select_events(
+      anchor::filter_non_global(
+          anchor::infer_events(world.ribs, world.training,
+                               config.event_inference),
+          vps.size(), config.event_selection.max_visibility),
+      {}, config.event_selection);
+  ASSERT_FALSE(events.empty());
+
+  anchor::EventFeatureExtractor extractor(vps);
+  const auto serial = extractor.extract(world.ribs, world.training, events);
+  const auto expect_bit_identical =
+      [&](const std::vector<anchor::EventFeatureMatrix>& got,
+          const std::string& what) {
+        ASSERT_EQ(got.size(), serial.size()) << what;
+        for (std::size_t e = 0; e < serial.size(); ++e) {
+          ASSERT_EQ(got[e].rows.size(), vps.size()) << what;
+          ASSERT_EQ(serial[e].rows.size(), vps.size()) << what;
+          for (std::size_t i = 0; i < vps.size(); ++i) {
+            EXPECT_EQ(std::memcmp(got[e].rows[i].data(),
+                                  serial[e].rows[i].data(),
+                                  sizeof(feat::EventVector)),
+                      0)
+                << what << ": event " << e << " row " << i;
+          }
+        }
+      };
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    par::ThreadPool pool(threads);
+    expect_bit_identical(
+        extractor.extract(world.ribs, world.training, events, &pool),
+        std::to_string(threads) + " thread(s)");
+    EXPECT_GT(pool.shards_executed(), 0u) << "the pool actually ran shards";
+  }
+
+  par::ThreadPool pool(4);
+  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
+  const auto forced =
+      extractor.extract(world.ribs, world.training, events, &pool);
+  const std::uint64_t shards_after_forced = pool.shards_executed();
+  ::unsetenv("GILL_ANALYSIS_SERIAL");
+  EXPECT_EQ(shards_after_forced, 0u) << "the hatch bypasses the pool";
+  expect_bit_identical(forced, "GILL_ANALYSIS_SERIAL=1");
 }
 
 // ---------------------------------------------------------------------------
